@@ -7,12 +7,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.graph.core import Graph
-from repro.graph.unionfind import UnionFind
 
 
 @dataclass(frozen=True)
 class ConnectedComponents:
-    """Component labelling plus the derived statistics the paper reports."""
+    """Component labelling plus the derived statistics the paper reports.
+
+    Components are numbered ``0..k-1`` in the order of their smallest
+    vertex: the component holding vertex 0 is label 0, and so on.
+    """
 
     labels: np.ndarray  # dense component id per vertex, 0..k-1
     sizes: np.ndarray  # vertex count per component id
@@ -23,7 +26,8 @@ class ConnectedComponents:
 
     @property
     def largest_label(self) -> int:
-        return int(np.argmax(self.sizes))
+        """Label of the largest component (lowest label on ties); -1 if there are none."""
+        return int(np.argmax(self.sizes)) if self.sizes.size else -1
 
     @property
     def largest_size(self) -> int:
@@ -48,14 +52,25 @@ class ConnectedComponents:
 
 
 def connected_components(graph: Graph) -> ConnectedComponents:
-    """Label components with union-find over the CSR edge list."""
-    uf = UnionFind(graph.n)
-    # iterate each undirected edge once via the CSR upper triangle
-    for u in range(graph.n):
-        for v in graph.neighbors(u):
-            if v > u:
-                uf.union(u, int(v))
-    roots = uf.groups()
+    """Label components by min-label propagation with pointer jumping.
+
+    Each round, a vertex and the vertex its label names both take the
+    smallest label among the vertex's neighbours, then every vertex takes
+    its label's label.  Labels only fall, and a round that changes nothing
+    leaves each vertex labelled with its component's smallest vertex.
+    """
+    rows = np.flatnonzero(np.diff(graph.indptr))  # reduceat needs non-empty rows
+    starts = graph.indptr[rows]
+    roots = np.arange(graph.n, dtype=np.int64)
+    while rows.size:
+        nbr_min = np.minimum.reduceat(roots[graph.indices], starts)
+        hooked = roots.copy()
+        np.minimum.at(hooked, roots[rows], nbr_min)  # hook the label's whole tree
+        hooked[rows] = np.minimum(hooked[rows], nbr_min)
+        hooked = hooked[hooked]  # pointer jumping: take the label's label
+        if np.array_equal(hooked, roots):
+            break
+        roots = hooked
     _, labels = np.unique(roots, return_inverse=True)
     sizes = np.bincount(labels)
     return ConnectedComponents(labels=labels, sizes=sizes)

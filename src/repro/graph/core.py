@@ -80,7 +80,7 @@ class Graph:
         return bool(np.isin(v, self.neighbors(u)).any())
 
     def subgraph(self, vertices: np.ndarray) -> tuple["Graph", np.ndarray]:
-        """Induced subgraph.
+        """Induced subgraph: the edges with both ends in ``vertices``.
 
         Returns ``(graph, vertices)`` where row ``i`` of the new graph is
         ``vertices[i]`` of the original.
@@ -88,21 +88,10 @@ class Graph:
         vertices = np.asarray(vertices, dtype=np.int64)
         remap = np.full(self.n, -1, dtype=np.int64)
         remap[vertices] = np.arange(vertices.size)
-        edges = []
-        for new_u, old_u in enumerate(vertices):
-            nbrs = self.neighbors(int(old_u))
-            mapped = remap[nbrs]
-            ok = mapped >= 0
-            if ok.any():
-                sel = mapped[ok]
-                edges.append(
-                    np.column_stack([np.full(sel.size, new_u, dtype=np.int64), sel])
-                )
-        if edges:
-            edge_arr = np.concatenate(edges)
-        else:
-            edge_arr = np.empty((0, 2), dtype=np.int64)
-        return Graph.from_edges(vertices.size, edge_arr), vertices
+        src = remap[np.repeat(np.arange(self.n), np.diff(self.indptr))]
+        dst = remap[self.indices]
+        keep = (src >= 0) & (dst >= 0)
+        return Graph.from_edges(vertices.size, np.column_stack([src[keep], dst[keep]])), vertices
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"Graph(n={self.n}, m={self.n_edges})"

@@ -2,11 +2,16 @@
 
 The paper measures the largest connected component's diameter (18) and the
 hop radius from the central entities (≈10, "about 55% less than the
-diameter", §4.3.2).  BFS here is frontier-vectorized: each level expands the
-whole frontier at once through the CSR arrays instead of vertex by vertex.
+diameter", §4.3.2).  Every BFS is one multi-source sweep over the CSR arrays
+(:func:`_levels`; Then et al., "The More the Merrier", VLDB 2015): a vertex
+holds a ``uint64`` mask of BFS lanes, and a level ORs its neighbours' masks.
+Nearest-source BFS is one lane; exact diameter and closeness run 64 sources
+per sweep.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -14,36 +19,81 @@ from repro.graph.core import Graph
 
 UNREACHED = -1
 
+#: BFS lanes per sweep: one bit of a vertex's ``uint64`` mask each
+_LANES = 64
+
+
+def _levels(graph: Graph, lanes: np.ndarray) -> Iterator[np.ndarray]:
+    """Level-synchronous BFS of up to 64 lanes at once.
+
+    ``lanes[v]`` has bit ``i`` set when ``v`` is a source of lane ``i``.
+    Yields, for levels 1, 2, … in order, the mask of lanes that first reach
+    each vertex at that level; stops at the first empty level.  A level
+    costs O(edges) however small the frontier is.
+    """
+    indptr, indices = graph.indptr, graph.indices
+    rows = np.flatnonzero(np.diff(indptr))  # reduceat needs non-empty rows
+    starts = indptr[rows]
+    seen = lanes.copy()
+    frontier = lanes
+    while rows.size:
+        fresh = np.zeros_like(seen)
+        fresh[rows] = np.bitwise_or.reduceat(frontier[indices], starts)
+        fresh &= ~seen
+        if not fresh.any():
+            return
+        seen |= fresh
+        yield fresh
+        frontier = fresh
+
+
+def _sources(n: int, source: int | np.ndarray) -> np.ndarray:
+    """``source`` as a 1-D vertex array, rejecting ids outside ``[0, n)``."""
+    sources = np.atleast_1d(np.asarray(source, dtype=np.int64))
+    if sources.size and (sources.min() < 0 or sources.max() >= n):
+        raise ValueError("source vertex out of range")
+    return sources
+
+
+def _profile(
+    graph: Graph, sources: np.ndarray, targets: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per source: eccentricity, reach and distance sum over ``targets``.
+
+    One BFS per source, 64 sources per sweep; a popcount per lane of each
+    level counts the targets that lane first reaches there.  ``targets``
+    defaults to every vertex; a source never counts as reached by itself.
+    """
+    sources = _sources(graph.n, sources)
+    ecc, reach, dist_sum = (np.zeros(sources.size, dtype=np.int64) for _ in range(3))
+    for lo in range(0, sources.size, _LANES):
+        batch = slice(lo, lo + _LANES)
+        k = sources[batch].size
+        lanes = np.zeros(graph.n, dtype=np.uint64)
+        np.bitwise_or.at(lanes, sources[batch], np.uint64(1) << np.arange(k, dtype=np.uint64))
+        for level, fresh in enumerate(_levels(graph, lanes), 1):
+            hit = fresh if targets is None else fresh[targets]
+            # popcount per lane: column i of the unpacked masks is lane i's bit
+            bits = np.unpackbits(hit[hit != 0].astype("<u8").view(np.uint8), bitorder="little")
+            counts = bits.reshape(-1, _LANES).sum(axis=0, dtype=np.int64)[:k]
+            reach[batch] += counts
+            dist_sum[batch] += level * counts
+            ecc[batch][counts > 0] = level
+    return ecc, reach, dist_sum
+
 
 def bfs_distances(graph: Graph, source: int | np.ndarray) -> np.ndarray:
     """Hop distances from ``source`` (or the nearest of several sources).
 
     Unreachable vertices get :data:`UNREACHED`.
     """
+    sources = _sources(graph.n, source)
     dist = np.full(graph.n, UNREACHED, dtype=np.int64)
-    frontier = np.atleast_1d(np.asarray(source, dtype=np.int64))
-    if frontier.size and (frontier.min() < 0 or frontier.max() >= graph.n):
-        raise ValueError("source vertex out of range")
-    dist[frontier] = 0
-    level = 0
-    indptr, indices = graph.indptr, graph.indices
-    while frontier.size:
-        level += 1
-        # gather all neighbors of the frontier in one shot
-        starts = indptr[frontier]
-        ends = indptr[frontier + 1]
-        total = int((ends - starts).sum())
-        if total == 0:
-            break
-        nbrs = np.concatenate(
-            [indices[s:e] for s, e in zip(starts, ends)]
-        ) if frontier.size > 1 else indices[starts[0]:ends[0]]
-        fresh = nbrs[dist[nbrs] == UNREACHED]
-        if fresh.size == 0:
-            break
-        fresh = np.unique(fresh)
-        dist[fresh] = level
-        frontier = fresh
+    dist[sources] = 0
+    lanes = np.zeros(graph.n, dtype=np.uint64)
+    lanes[sources] = 1  # one lane holds every source: nearest-source distance
+    for level, fresh in enumerate(_levels(graph, lanes), 1):
+        dist[fresh != 0] = level
     return dist
 
 
@@ -55,27 +105,22 @@ def eccentricity(graph: Graph, v: int) -> int:
 
 
 def exact_diameter(graph: Graph, vertices: np.ndarray | None = None) -> int:
-    """Exact diameter by all-pairs BFS over ``vertices`` (one component).
+    """Largest hop distance between two members of ``vertices``.
 
-    O(n·m) — fine for the file generation network (~1.7 K vertices).
+    Paths may run through the whole graph; only their endpoints must be in
+    ``vertices`` (default: every vertex).  One BFS per member, 64 members
+    per sweep, counting only members as targets.
     """
-    if vertices is None:
-        vertices = np.arange(graph.n, dtype=np.int64)
-    best = 0
-    for v in vertices:
-        dist = bfs_distances(graph, int(v))
-        local = dist[vertices]
-        local = local[local >= 0]
-        if local.size:
-            best = max(best, int(local.max()))
-    return best
+    sources = np.arange(graph.n) if vertices is None else vertices
+    ecc, _, _ = _profile(graph, sources, targets=vertices)
+    return int(ecc.max(initial=0))
 
 
 def double_sweep_diameter(graph: Graph, start: int) -> int:
     """Double-sweep lower bound on the diameter (exact on trees).
 
     BFS from ``start``, then BFS again from the farthest vertex found — the
-    classic cheap estimator used before committing to all-pairs BFS.
+    classic cheap estimator used before committing to the exact diameter.
     """
     dist1 = bfs_distances(graph, start)
     reach = np.flatnonzero(dist1 >= 0)

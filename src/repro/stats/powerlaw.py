@@ -119,6 +119,7 @@ def fit_power_law(sample: np.ndarray, kmin: int | None = None) -> PowerLawFit:
     sample = sample[sample > 0].astype(np.float64)
     if sample.size < 3:
         raise ValueError("need at least 3 positive observations to fit")
+    slope = _loglog_slope(sample)  # depends on the sample only, not on kmin
     if kmin is not None:
         if kmin < 1:
             raise ValueError(f"kmin must be >= 1, got {kmin}")
@@ -129,7 +130,7 @@ def fit_power_law(sample: np.ndarray, kmin: int | None = None) -> PowerLawFit:
             kmin=int(kmin),
             n_tail=int((sample >= kmin).sum()),
             ks_distance=ks,
-            loglog_slope=_loglog_slope(sample),
+            loglog_slope=slope,
         )
     best: PowerLawFit | None = None
     candidates = np.unique(sample.astype(np.int64))
@@ -150,7 +151,7 @@ def fit_power_law(sample: np.ndarray, kmin: int | None = None) -> PowerLawFit:
             kmin=kmin_c,
             n_tail=int((sample >= kmin_c).sum()),
             ks_distance=ks,
-            loglog_slope=_loglog_slope(sample),
+            loglog_slope=slope,
         )
         if best is None or fit.ks_distance < best.ks_distance:
             best = fit
@@ -167,6 +168,6 @@ def fit_power_law(sample: np.ndarray, kmin: int | None = None) -> PowerLawFit:
             ks_distance=_ks_distance(sample, alpha, kmin_f)
             if np.isfinite(alpha)
             else 1.0,
-            loglog_slope=_loglog_slope(sample),
+            loglog_slope=slope,
         )
     return best

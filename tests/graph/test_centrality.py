@@ -94,23 +94,31 @@ def test_betweenness_against_networkx(args):
         assert ours[v] == pytest.approx(theirs[v], abs=1e-9)
 
 
-def test_unionfind_direct():
-    from repro.graph.unionfind import UnionFind
 
-    uf = UnionFind(6)
-    assert uf.union(0, 1)
-    assert uf.union(1, 2)
-    assert not uf.union(0, 2)  # already merged
-    assert uf.n_sets == 4
-    uf.union_edges(np.array([[3, 4]]))
-    roots = uf.groups()
-    assert roots[0] == roots[1] == roots[2]
-    assert roots[3] == roots[4]
-    assert roots[5] not in (roots[0], roots[3])
-
-
-def test_unionfind_rejects_negative_size():
-    from repro.graph.unionfind import UnionFind
-
-    with pytest.raises(ValueError):
-        UnionFind(-1)
+@settings(max_examples=15, deadline=None)
+@given(
+    st.integers(min_value=65, max_value=150).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.tuples(
+                    st.integers(min_value=0, max_value=n - 1),
+                    st.integers(min_value=0, max_value=n - 1),
+                ),
+                min_size=n,
+                max_size=3 * n,
+            ),
+        )
+    )
+)
+def test_closeness_against_networkx_multi_sweep(args):
+    # more than 64 vertices: the sources span two or three BFS sweeps
+    n, edges = args
+    g = Graph.from_edges(n, np.array(edges, dtype=np.int64).reshape(-1, 2))
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(n))
+    nxg.add_edges_from(e for e in edges if e[0] != e[1])
+    ours = closeness_centrality(g)
+    theirs = nx.closeness_centrality(nxg, wf_improved=True)
+    for v in range(n):
+        assert ours[v] == pytest.approx(theirs[v], abs=1e-9)

@@ -64,3 +64,19 @@ def test_against_networkx(args):
     nxg.add_edges_from(edges)
     nx_comps = sorted(len(c) for c in nx.connected_components(nxg))
     assert sorted(cc.sizes.tolist()) == nx_comps
+
+
+def test_empty_graph_has_no_largest_component():
+    cc = connected_components(Graph.empty(0))
+    assert cc.count == 0
+    assert cc.largest_size == 0
+    assert cc.largest_label == -1
+    assert cc.largest_members().size == 0
+    assert cc.coverage() == 0.0
+
+
+def test_labels_numbered_by_smallest_vertex():
+    # components {1, 4}, {0, 3}, {2}: label order follows 0, 1, 2
+    g = Graph.from_edges(5, np.array([[4, 1], [3, 0]]))
+    cc = connected_components(g)
+    assert cc.labels.tolist() == [0, 1, 2, 0, 1]

@@ -126,3 +126,49 @@ def test_double_sweep_lower_bounds_exact(args):
     g = Graph.from_edges(n, np.array(edges, dtype=np.int64).reshape(-1, 2))
     exact = exact_diameter(g)
     assert double_sweep_diameter(g, 0) <= exact
+
+
+def _graph_strategy(min_n, max_n):
+    return st.integers(min_value=min_n, max_value=max_n).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.tuples(
+                    st.integers(min_value=0, max_value=n - 1),
+                    st.integers(min_value=0, max_value=n - 1),
+                ),
+                max_size=3 * n,
+            ),
+        )
+    )
+
+
+def _both(n, edges):
+    g = Graph.from_edges(n, np.array(edges, dtype=np.int64).reshape(-1, 2))
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(n))
+    nxg.add_edges_from(e for e in edges if e[0] != e[1])
+    return g, nxg
+
+
+@settings(max_examples=25, deadline=None)
+@given(_graph_strategy(1, 40))
+def test_eccentricity_against_networkx(args):
+    g, nxg = _both(*args)
+    for comp in nx.connected_components(nxg):
+        theirs = nx.eccentricity(nxg.subgraph(comp))
+        for v in comp:
+            assert eccentricity(g, v) == theirs[v]
+
+
+@settings(max_examples=25, deadline=None)
+@given(_graph_strategy(1, 150))
+def test_component_diameter_against_networkx(args):
+    # up to 150 vertices: components wider than one 64-source sweep
+    g, nxg = _both(*args)
+    for comp in nx.connected_components(nxg):
+        members = np.array(sorted(comp), dtype=np.int64)
+        theirs = nx.diameter(nxg.subgraph(comp))
+        assert exact_diameter(g, members) == theirs
+        sub, _ = g.subgraph(members)
+        assert exact_diameter(sub) == theirs
